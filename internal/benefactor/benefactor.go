@@ -13,13 +13,15 @@ package benefactor
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"nvmalloc/internal/obs"
 	"nvmalloc/internal/proto"
 )
 
 // Backend stores chunk payloads. Implementations: Mem (simulation, and a
-// RAM-backed real store) and internal/rpc's file backend.
+// RAM-backed real store) and internal/rpc's file backend. The Store calls
+// a backend concurrently for different chunks, never for the same chunk.
 type Backend interface {
 	// Put stores data as the payload of chunk id, replacing any prior
 	// payload.
@@ -123,15 +125,27 @@ type Stats struct {
 	PageBytesWritten int64
 }
 
-// Store is one benefactor's chunk store. All methods are safe for
-// concurrent use; the TCP transport (internal/rpc) serves many client
-// connections against one Store.
+// Store is one benefactor's chunk store.
+//
+// Concurrency contract: all methods are safe for concurrent use. Data ops
+// (PutChunk, GetChunk, PutPages, CopyChunk, DeleteChunk) are ordered per
+// chunk and run concurrently across chunks: each takes the lock stripe of
+// the chunk it touches for the whole op, backend I/O included, so a
+// PutPages read-modify-write can never interleave with another op on the
+// same chunk, while ops on other chunks keep the device queue busy. Space
+// accounting, tombstones and counters sit under a separate short lock that
+// is never held across backend I/O. The TCP transport (internal/rpc)
+// serves many client connections against one Store.
 type Store struct {
 	id        int
 	node      int
 	chunkSize int64
 	backend   Backend
 
+	// stripes orders the data ops of one chunk (see stripe).
+	stripes [lockStripes]sync.Mutex
+
+	// mu guards the accounting below; never held across backend calls.
 	mu       sync.Mutex
 	capacity int64
 	used     int64
@@ -153,10 +167,27 @@ type Store struct {
 	privGet    bool
 	recycle    func([]byte)
 
-	// Occupancy gauges (SetObs), kept current wherever used changes so a
-	// scrape sees the benefactor's fill level without an RPC round trip.
+	// Gauges and histograms (SetObs). The occupancy gauges are kept
+	// current wherever used changes so a scrape sees the benefactor's fill
+	// level without an RPC round trip; inflight counts data ops inside the
+	// store and lockWait times every chunk-stripe acquisition, so /metrics
+	// shows per-chunk contention directly.
 	usedGauge *obs.Gauge
 	capGauge  *obs.Gauge
+	inflight  *obs.Gauge
+	lockWait  *obs.Histogram
+}
+
+// lockStripes is the number of per-chunk lock stripes. Two chunks share a
+// stripe only by hash collision, which costs concurrency, never
+// correctness.
+const lockStripes = 256
+
+// stripe returns the index of chunk id's lock stripe. Chunk IDs reach a
+// benefactor with a fixed stride (placement and shard striding), so the ID
+// is scrambled (Fibonacci hashing) before it picks a stripe.
+func stripe(id proto.ChunkID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15) >> 56)
 }
 
 // New creates a benefactor store contributing capacity bytes of chunkSize
@@ -180,10 +211,11 @@ func New(id, node int, capacity, chunkSize int64, backend Backend) *Store {
 	return st
 }
 
-// SetObs registers the store's occupancy gauges (benefactor.used_bytes,
-// benefactor.capacity_bytes) in o's registry and keeps them current as
-// chunks materialize and die. Nil-safe: a nil o (or nil registry) leaves
-// the gauges as no-ops.
+// SetObs registers the store's gauges (benefactor.used_bytes,
+// benefactor.capacity_bytes, benefactor.inflight) and its lock-wait
+// histogram (benefactor.chunk_lock_wait) in o's registry and keeps them
+// current. Call it before the store serves requests. Nil-safe: a nil o
+// (or nil registry) leaves them as no-ops.
 func (st *Store) SetObs(o *obs.Obs) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -192,6 +224,8 @@ func (st *Store) SetObs(o *obs.Obs) {
 	}
 	st.usedGauge = o.Reg.Gauge("benefactor.used_bytes")
 	st.capGauge = o.Reg.Gauge("benefactor.capacity_bytes")
+	st.inflight = o.Reg.Gauge("benefactor.inflight")
+	st.lockWait = o.Reg.Histogram("benefactor.chunk_lock_wait")
 	st.usedGauge.Set(st.used)
 	st.capGauge.Set(st.capacity)
 }
@@ -247,25 +281,104 @@ func (st *Store) Stats() Stats {
 // ChunkSize returns the store's striping unit.
 func (st *Store) ChunkSize() int64 { return st.chunkSize }
 
-// PutChunk stores a full chunk payload.
-func (st *Store) PutChunk(id proto.ChunkID, data []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.putChunkLocked(id, data)
+// held is the pair of stripes one data op holds (b < 0: stripe a only).
+type held struct {
+	st   *Store
+	a, b int
 }
 
-func (st *Store) putChunkLocked(id proto.ChunkID, data []byte) error {
+// begin marks a data op on chunks x and y (equal for a one-chunk op) in
+// flight and locks their stripes, always in ascending order so two-chunk
+// ops cannot deadlock. end undoes both.
+func (st *Store) begin(x, y proto.ChunkID) held {
+	st.inflight.Add(1)
+	a, b := stripe(x), stripe(y)
+	switch {
+	case a == b:
+		b = -1
+	case b < a:
+		a, b = b, a
+	}
+	st.lockStripe(a)
+	if b >= 0 {
+		st.lockStripe(b)
+	}
+	return held{st, a, b}
+}
+
+func (h held) end() {
+	if h.b >= 0 {
+		h.st.stripes[h.b].Unlock()
+	}
+	h.st.stripes[h.a].Unlock()
+	h.st.inflight.Add(-1)
+}
+
+// lockStripe acquires stripe i, timing the wait only when there is one.
+func (st *Store) lockStripe(i int) {
+	m := &st.stripes[i]
+	if m.TryLock() {
+		st.lockWait.Observe(0)
+		return
+	}
+	t0 := time.Now()
+	m.Lock()
+	st.lockWait.Observe(time.Since(t0))
+}
+
+// dead reports whether id is tombstoned (strict-delete mode only).
+func (st *Store) dead(id proto.ChunkID) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.strict {
+		return false
+	}
+	_, ok := st.tombs[id]
+	return ok
+}
+
+// reserve claims one chunk of space for a chunk about to materialize.
+// Claiming before the backend write keeps used within capacity however
+// many fresh puts race; release rolls a claim back when the write fails
+// (and frees the space of a deleted chunk).
+func (st *Store) reserve() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.used+st.chunkSize > st.capacity {
+		return proto.ErrNoSpace
+	}
+	st.used += st.chunkSize
+	st.usedGauge.Set(st.used)
+	return nil
+}
+
+func (st *Store) release() {
+	st.mu.Lock()
+	st.used -= st.chunkSize
+	st.usedGauge.Set(st.used)
+	st.mu.Unlock()
+}
+
+// PutChunk stores a full chunk payload.
+func (st *Store) PutChunk(id proto.ChunkID, data []byte) error {
+	defer st.begin(id, id).end()
+	return st.putChunk(id, data)
+}
+
+// putChunk is PutChunk under id's stripe.
+func (st *Store) putChunk(id proto.ChunkID, data []byte) error {
 	if int64(len(data)) != st.chunkSize {
 		return fmt.Errorf("benefactor %d: chunk %d payload %d bytes, want %d", st.id, id, len(data), st.chunkSize)
 	}
-	if st.strict {
-		if _, dead := st.tombs[id]; dead {
-			return proto.ErrNoSuchChunk
-		}
+	if st.dead(id) {
+		return proto.ErrNoSuchChunk
 	}
+	// The stripe is held, so whether id exists cannot change under us.
 	fresh := !st.backend.Has(id)
-	if fresh && st.used+st.chunkSize > st.capacity {
-		return proto.ErrNoSpace
+	if fresh {
+		if err := st.reserve(); err != nil {
+			return err
+		}
 	}
 	// A backend that retains its Put argument (Mem stores the very slice)
 	// gets a private copy, because the caller keeps owning data. A
@@ -277,14 +390,15 @@ func (st *Store) putChunkLocked(id proto.ChunkID, data []byte) error {
 		data = cp
 	}
 	if err := st.backend.Put(id, data); err != nil {
+		if fresh {
+			st.release()
+		}
 		return err
 	}
-	if fresh {
-		st.used += st.chunkSize
-		st.usedGauge.Set(st.used)
-	}
+	st.mu.Lock()
 	st.s.Puts++
 	st.s.BytesWritten += int64(len(data))
+	st.mu.Unlock()
 	return nil
 }
 
@@ -293,16 +407,14 @@ func (st *Store) putChunkLocked(id proto.ChunkID, data []byte) error {
 // create time; data arrives lazily — paper §III-C). In strict-delete mode
 // reading a deleted chunk fails with ErrNoSuchChunk.
 func (st *Store) GetChunk(id proto.ChunkID) ([]byte, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.getChunkLocked(id)
+	defer st.begin(id, id).end()
+	return st.getChunk(id)
 }
 
-func (st *Store) getChunkLocked(id proto.ChunkID) ([]byte, error) {
-	if st.strict {
-		if _, dead := st.tombs[id]; dead {
-			return nil, proto.ErrNoSuchChunk
-		}
+// getChunk is GetChunk under id's stripe.
+func (st *Store) getChunk(id proto.ChunkID) ([]byte, error) {
+	if st.dead(id) {
+		return nil, proto.ErrNoSuchChunk
 	}
 	d, err := st.backend.Get(id)
 	if err == proto.ErrNoSuchChunk {
@@ -310,41 +422,46 @@ func (st *Store) getChunkLocked(id proto.ChunkID) ([]byte, error) {
 	} else if err != nil {
 		return nil, err
 	}
+	st.mu.Lock()
 	st.s.Gets++
 	st.s.BytesRead += int64(len(d))
+	st.mu.Unlock()
 	return d, nil
 }
 
 // PutPages applies dirty pages (parallel offset/payload slices, offsets are
 // byte offsets within the chunk) to chunk id, materializing the chunk if it
-// does not exist yet.
+// does not exist yet. The read-modify-write runs under id's stripe, so
+// concurrent PutPages on disjoint pages of one chunk both land.
 func (st *Store) PutPages(id proto.ChunkID, pageOffs []int64, pages [][]byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if len(pageOffs) != len(pages) {
 		return fmt.Errorf("benefactor %d: %d offsets but %d pages", st.id, len(pageOffs), len(pages))
 	}
-	if st.strict {
-		if _, dead := st.tombs[id]; dead {
-			return proto.ErrNoSuchChunk
+	for i, off := range pageOffs {
+		if off < 0 || off+int64(len(pages[i])) > st.chunkSize {
+			return fmt.Errorf("benefactor %d: page [%d,%d) outside chunk", st.id, off, off+int64(len(pages[i])))
 		}
 	}
+	defer st.begin(id, id).end()
+	if st.dead(id) {
+		return proto.ErrNoSuchChunk
+	}
 	prev, err := st.backend.Get(id)
+	fresh := err == proto.ErrNoSuchChunk
 	var cur []byte
-	if err == proto.ErrNoSuchChunk {
-		if st.used+st.chunkSize > st.capacity {
-			return proto.ErrNoSpace
+	switch {
+	case fresh:
+		if err := st.reserve(); err != nil {
+			return err
 		}
 		cur = make([]byte, st.chunkSize)
-		st.used += st.chunkSize
-		st.usedGauge.Set(st.used)
-	} else if err != nil {
+	case err != nil:
 		return err
-	} else if st.privGet {
+	case st.privGet:
 		// The backend handed out a private buffer: patch it in place and
 		// write it back, no copy.
 		cur = prev
-	} else {
+	default:
 		// Never mutate the stored payload in place: concurrent readers may
 		// still be serializing the slice the backend handed out.
 		cur = make([]byte, len(prev))
@@ -352,12 +469,8 @@ func (st *Store) PutPages(id proto.ChunkID, pageOffs []int64, pages [][]byte) er
 	}
 	var vol int64
 	for i, off := range pageOffs {
-		pg := pages[i]
-		if off < 0 || off+int64(len(pg)) > st.chunkSize {
-			return fmt.Errorf("benefactor %d: page [%d,%d) outside chunk", st.id, off, off+int64(len(pg)))
-		}
-		copy(cur[off:], pg)
-		vol += int64(len(pg))
+		copy(cur[off:], pages[i])
+		vol += int64(len(pages[i]))
 	}
 	err = st.backend.Put(id, cur)
 	if st.privGet && !st.retainsPut && st.recycle != nil {
@@ -366,24 +479,29 @@ func (st *Store) PutPages(id proto.ChunkID, pageOffs []int64, pages [][]byte) er
 		st.recycle(cur)
 	}
 	if err != nil {
+		if fresh {
+			st.release()
+		}
 		return err
 	}
+	st.mu.Lock()
 	st.s.PagePuts++
 	st.s.BytesWritten += vol
 	st.s.PageBytesWritten += vol
+	st.mu.Unlock()
 	return nil
 }
 
 // CopyChunk duplicates the payload of src into dst (server-side copy used
-// by copy-on-write remapping, so the data never crosses the network).
+// by copy-on-write remapping, so the data never crosses the network). Both
+// chunks' stripes are held for the whole copy.
 func (st *Store) CopyChunk(dst, src proto.ChunkID) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	d, err := st.getChunkLocked(src)
+	defer st.begin(dst, src).end()
+	d, err := st.getChunk(src)
 	if err != nil {
 		return err
 	}
-	err = st.putChunkLocked(dst, d)
+	err = st.putChunk(dst, d)
 	if st.privGet && !st.retainsPut && st.recycle != nil {
 		st.recycle(d)
 	}
@@ -393,21 +511,23 @@ func (st *Store) CopyChunk(dst, src proto.ChunkID) error {
 // DeleteChunk removes a chunk and releases its space. Deleting a chunk that
 // was reserved but never materialized is a no-op (the reservation is
 // released manager-side). In strict-delete mode the ID is tombstoned so
-// stale references fail instead of resurrecting the chunk.
+// stale references fail instead of resurrecting the chunk; the tombstone
+// goes in under id's stripe, so no op on id can slip between the
+// tombstone and the removal.
 func (st *Store) DeleteChunk(id proto.ChunkID) error {
+	defer st.begin(id, id).end()
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.strict {
 		st.tombs[id] = struct{}{}
 	}
+	st.mu.Unlock()
 	if !st.backend.Has(id) {
 		return nil
 	}
 	if err := st.backend.Delete(id); err != nil {
 		return err
 	}
-	st.used -= st.chunkSize
-	st.usedGauge.Set(st.used)
+	st.release()
 	return nil
 }
 

@@ -50,9 +50,11 @@ type Config struct {
 	// is the "without optimization" baseline of Table VII.
 	WriteFullChunks bool
 	// FuseConcurrency is how many store requests the node's FUSE daemon
-	// keeps in flight (the 2012 implementation served requests with very
-	// limited concurrency; 0 defaults to 2 — one demand fetch plus one
-	// read-ahead).
+	// keeps in flight, and so also how many write-behind evictions may be
+	// pending at once. 0 defaults to 8, enough to keep several benefactor
+	// device queues busy on the real stack. The simulated 2012 daemon
+	// served requests with very limited concurrency; sysprof.HAL pins it
+	// to 2 (one demand fetch plus one read-ahead).
 	FuseConcurrency int
 	// Obs receives the cache's counters (fusecache.* on its registry).
 	// Nil gets a fresh private obs.New("fusecache").
@@ -172,8 +174,16 @@ type ChunkCache struct {
 	// miss can be satisfied without fetching (no read-modify-write for
 	// initial population).
 	virgin map[chunkKey]bool
-	// gate bounds concurrent store requests from this node's FUSE daemon.
-	gate store.Gate
+	// gate bounds concurrent store requests from this node's FUSE daemon;
+	// width is its size.
+	gate  store.Gate
+	width int
+	// behind counts write-behind evictions in flight (at most width).
+	// behindErr holds the first failure of one, with its file, until the
+	// next ensureRoom (or Flush of that file, or Drop) takes it.
+	behind     int
+	behindErr  error
+	behindFile string
 
 	s counters
 }
@@ -189,7 +199,7 @@ func NewChunkCache(env store.Env, st store.Client, cfg Config) *ChunkCache {
 	}
 	conc := cfg.FuseConcurrency
 	if conc <= 0 {
-		conc = 2
+		conc = 8
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New("fusecache")
@@ -208,6 +218,7 @@ func NewChunkCache(env store.Env, st store.Client, cfg Config) *ChunkCache {
 		lastMiss: make(map[string]int),
 		virgin:   make(map[chunkKey]bool),
 		gate:     env.NewGate("fuse-daemon", conc),
+		width:    conc,
 	}
 }
 
@@ -399,7 +410,7 @@ func (cc *ChunkCache) acquire(ctx store.Ctx, file string, idx int) (*entry, erro
 		if cc.virgin[key] {
 			// Known-zero chunk of a freshly created file: materialize it
 			// in cache without any store traffic.
-			if err := cc.ensureRoom(ctx); err != nil {
+			if err := cc.ensureRoom(ctx, false); err != nil {
 				return nil, err
 			}
 			if _, ok := cc.entries[key]; ok {
@@ -466,7 +477,7 @@ func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, 
 	if _, ok := cc.entries[key]; ok {
 		return nil, nil
 	}
-	if err := cc.ensureRoom(ctx); err != nil {
+	if err := cc.ensureRoom(ctx, prefetch); err != nil {
 		return nil, err
 	}
 	if _, ok := cc.entries[key]; ok {
@@ -519,27 +530,51 @@ func (cc *ChunkCache) fetch(ctx store.Ctx, key chunkKey, refs []proto.ChunkRef, 
 	return e, nil
 }
 
-// ensureRoom evicts LRU entries until a new chunk fits. Lock held.
-func (cc *ChunkCache) ensureRoom(ctx store.Ctx) error {
+// ensureRoom evicts LRU entries until a new chunk fits. A dirty victim is
+// not written back on the caller's goroutine: it goes to writeBehind and
+// the loop moves on to the next clean victim, so a miss waits on the store
+// only when the cache holds nothing clean or width write-behinds are
+// already in flight. A pending write-behind failure is returned first;
+// prefetch callers, which drop errors, leave it for the next demand
+// access. Lock held.
+func (cc *ChunkCache) ensureRoom(ctx store.Ctx, prefetch bool) error {
+	if err := cc.takeBehindErr(prefetch); err != nil {
+		return err
+	}
 	for len(cc.entries) >= cc.cfg.Chunks() {
 		victim := cc.pickVictim()
-		if victim == nil {
-			// Everything resident is in flight; wait for the oldest
-			// transition and retry.
-			if w := cc.oldestBusy(); w != nil {
-				cc.s.waits.Inc()
-				cc.env.Unlock(ctx)
-				w.Wait(ctx)
-				cc.env.Lock(ctx)
-				continue
+		switch {
+		case victim == nil || victim.nDirty > 0 && cc.behind >= cc.width:
+			// Everything resident is in flight, or the write-behind
+			// budget is spent: wait for the oldest transition and retry.
+			w := cc.oldestBusy()
+			if w == nil {
+				return fmt.Errorf("fusecache: cache wedged with %d entries", len(cc.entries))
 			}
-			return fmt.Errorf("fusecache: cache wedged with %d entries", len(cc.entries))
-		}
-		if err := cc.evict(ctx, victim); err != nil {
-			return err
+			cc.s.waits.Inc()
+			cc.env.Unlock(ctx)
+			w.Wait(ctx)
+			cc.env.Lock(ctx)
+			if err := cc.takeBehindErr(prefetch); err != nil {
+				return err
+			}
+		case victim.nDirty > 0:
+			cc.writeBehind(ctx, victim)
+		default:
+			cc.evict(ctx, victim)
 		}
 	}
 	return nil
+}
+
+// takeBehindErr returns a pending write-behind failure, consuming it unless
+// the caller is a prefetch. Lock held.
+func (cc *ChunkCache) takeBehindErr(prefetch bool) error {
+	err := cc.behindErr
+	if err != nil && !prefetch {
+		cc.behindErr, cc.behindFile = nil, ""
+	}
+	return err
 }
 
 // pickVictim returns the least-recently-used resident entry.
@@ -563,23 +598,38 @@ func (cc *ChunkCache) oldestBusy() store.Future {
 	return nil
 }
 
-// evict writes back a victim's dirty pages and drops it. Lock held.
-func (cc *ChunkCache) evict(ctx store.Ctx, e *entry) error {
-	cc.s.evictions.Inc()
-	if e.nDirty > 0 {
-		cc.s.dirtyEvictions.Inc()
-		e.fut = cc.env.NewFuture("flush " + e.key.file)
-		err := cc.writeback(ctx, e)
+// writeBehind starts the writeback of a dirty LRU victim on its own task.
+// The entry stays resident and busy (e.fut) meanwhile, so it still counts
+// against the cache capacity and accessors wait for it. A successful
+// writeback leaves it clean at the LRU tail, the next victim; a failed one
+// leaves it dirty, to be retried, and parks the error in behindErr so it
+// is reported rather than dropped. The task runs on a fresh context: it
+// works for the cache, not for the access that happened to evict. Lock
+// held.
+func (cc *ChunkCache) writeBehind(ctx store.Ctx, e *entry) {
+	cc.s.dirtyEvictions.Inc()
+	cc.behind++
+	e.fut = cc.env.NewFuture("write-behind " + e.key.file)
+	cc.env.Go(ctx, "write-behind "+e.key.file, func(wctx store.Ctx) {
+		cc.env.Lock(wctx)
+		defer cc.env.Unlock(wctx)
+		err := cc.writeback(wctx, e)
+		if err != nil && cc.behindErr == nil {
+			cc.behindErr, cc.behindFile = err, e.key.file
+		}
+		cc.behind--
 		fut := e.fut
 		e.fut = nil
 		fut.Set()
-		if err != nil {
-			return err
-		}
-	}
-	// The victim is clean now; hand its payload to the spill tier (a
-	// synchronous copy) before the buffer goes back to the lender pool —
-	// the tier copies, it never adopts, so ownership is undisturbed.
+	})
+}
+
+// evict drops a clean victim. Lock held.
+func (cc *ChunkCache) evict(ctx store.Ctx, e *entry) {
+	cc.s.evictions.Inc()
+	// Hand the payload to the spill tier (a synchronous copy) before the
+	// buffer goes back to the lender pool — the tier copies, it never
+	// adopts, so ownership is undisturbed.
 	if cc.spiller != nil && e.data != nil {
 		if fi, ok := cc.meta[e.key.file]; ok && e.key.idx < len(fi.Chunks) {
 			cc.s.spills.Inc()
@@ -589,7 +639,6 @@ func (cc *ChunkCache) evict(ctx store.Ctx, e *entry) error {
 	delete(cc.entries, e.key)
 	cc.lru.Remove(e.lru)
 	cc.releaseEntry(e)
-	return nil
 }
 
 // writeback ships an entry's dirty pages to its benefactor, performing the
@@ -705,9 +754,16 @@ func (cc *ChunkCache) locate(off int64) (int, int64) {
 // The page layer calls this with single pages; larger spans are also
 // supported for bulk I/O (checkpoint streaming).
 func (cc *ChunkCache) ReadRange(ctx store.Ctx, file string, off int64, buf []byte) error {
-	cc.s.fuseRead.Add(int64(len(buf)))
 	cc.env.Lock(ctx)
 	defer cc.env.Unlock(ctx)
+	return cc.readRange(ctx, file, off, buf)
+}
+
+// readRange is ReadRange with the env lock held (the page layer calls it
+// under its own critical section). The lock is released while a chunk
+// loads.
+func (cc *ChunkCache) readRange(ctx store.Ctx, file string, off int64, buf []byte) error {
+	cc.s.fuseRead.Add(int64(len(buf)))
 	for len(buf) > 0 {
 		idx, coff := cc.locate(off)
 		e, err := cc.acquire(ctx, file, idx)
@@ -725,10 +781,16 @@ func (cc *ChunkCache) ReadRange(ctx store.Ctx, file string, off int64, buf []byt
 // touched pages dirty. Writes are page-aligned when they come from the
 // page layer; arbitrary alignment is handled for bulk I/O.
 func (cc *ChunkCache) WriteRange(ctx store.Ctx, file string, off int64, data []byte) error {
-	cc.s.fuseWrite.Add(int64(len(data)))
-	ps := cc.cfg.PageSize
 	cc.env.Lock(ctx)
 	defer cc.env.Unlock(ctx)
+	return cc.writeRange(ctx, file, off, data)
+}
+
+// writeRange is WriteRange with the env lock held. The lock is released
+// while a chunk loads; data is copied only with it held.
+func (cc *ChunkCache) writeRange(ctx store.Ctx, file string, off int64, data []byte) error {
+	cc.s.fuseWrite.Add(int64(len(data)))
+	ps := cc.cfg.PageSize
 	for len(data) > 0 {
 		idx, coff := cc.locate(off)
 		e, err := cc.acquire(ctx, file, idx)
@@ -753,7 +815,9 @@ func (cc *ChunkCache) WriteRange(ctx store.Ctx, file string, off int64, data []b
 // Flush writes back every dirty chunk of file, leaving the data cached.
 // Called before checkpoints and on Sync. Writebacks are issued from
 // parallel flusher tasks (the FUSE daemon's request concurrency gate still
-// bounds how many are actually in flight).
+// bounds how many are actually in flight); in-flight write-behinds of the
+// file are waited out first, and any still dirty after a failed one are
+// written again here.
 func (cc *ChunkCache) Flush(ctx store.Ctx, file string) error {
 	cc.s.flushes.Inc()
 	cc.env.Lock(ctx)
@@ -813,6 +877,14 @@ func (cc *ChunkCache) Flush(ctx store.Ctx, file string) error {
 	cc.env.Unlock(ctx)
 	g.Wait(ctx)
 	cc.env.Lock(ctx)
+	// A failed write-behind of this file is reported here even when the
+	// retry above persisted its pages: each failure surfaces exactly once.
+	if cc.behindErr != nil && cc.behindFile == file {
+		if flushErr == nil {
+			flushErr = cc.behindErr
+		}
+		cc.behindErr, cc.behindFile = nil, ""
+	}
 	return flushErr
 }
 
@@ -844,8 +916,9 @@ func (cc *ChunkCache) FlushAll(ctx store.Ctx) error {
 
 // Drop discards every cached chunk of file (dirty pages are discarded —
 // used by Free, whose semantics destroy the backing file anyway). In-flight
-// loads or flushes of the file are waited out first so a straggling fetch
-// cannot resurrect data under a name that may be recreated.
+// loads, flushes and write-behinds of the file are waited out first so a
+// straggling transfer cannot resurrect data under a name that may be
+// recreated.
 func (cc *ChunkCache) Drop(ctx store.Ctx, file string) {
 	cc.env.Lock(ctx)
 	defer cc.env.Unlock(ctx)
@@ -874,6 +947,10 @@ func (cc *ChunkCache) Drop(ctx store.Ctx, file string) {
 		delete(cc.entries, e.key)
 		cc.lru.Remove(e.lru)
 		cc.releaseEntry(e)
+	}
+	if cc.behindFile == file {
+		// Free destroys the data a failed write-behind could not persist.
+		cc.behindErr, cc.behindFile = nil, ""
 	}
 	delete(cc.meta, file)
 	delete(cc.cow, file)

@@ -18,10 +18,13 @@ import (
 // FUSE" column of Table IV and the "data written to FUSE" row of
 // Table VII.
 //
-// A PageCache belongs to a single rank and, like the per-process kernel
-// page cache it models, is not safe for concurrent use; cross-rank (and
-// cross-goroutine) safety lives one layer down, in the shared ChunkCache,
-// which serializes through its env lock.
+// A PageCache belongs to a single rank; its methods are safe for
+// concurrent use by the rank's threads (simulated procs, or goroutines
+// sharing one client). They run under the chunk cache's env lock, which
+// the chunk-cache calls below release while a chunk loads, so a thread
+// stalled on a miss does not hold up its siblings' page hits. Under the
+// simulation the lock is a no-op and the procs interleave only at those
+// blocking points, exactly as before.
 type PageCache struct {
 	cc  *ChunkCache
 	cap int // capacity in pages
@@ -70,10 +73,18 @@ func NewPageCache(cc *ChunkCache, capBytes int64) *PageCache {
 }
 
 // Stats returns a snapshot of the counters.
-func (pc *PageCache) Stats() PageStats { return pc.s }
+func (pc *PageCache) Stats() PageStats {
+	pc.cc.env.Lock(nil)
+	defer pc.cc.env.Unlock(nil)
+	return pc.s
+}
 
 // ResetStats zeroes the counters.
-func (pc *PageCache) ResetStats() { pc.s = PageStats{} }
+func (pc *PageCache) ResetStats() {
+	pc.cc.env.Lock(nil)
+	defer pc.cc.env.Unlock(nil)
+	pc.s = PageStats{}
+}
 
 // Chunk returns the underlying per-node chunk cache.
 func (pc *PageCache) Chunk() *ChunkCache { return pc.cc }
@@ -84,6 +95,7 @@ func (pc *PageCache) pageSize() int64 { return pc.cc.cfg.PageSize }
 // fault loads one page from the FUSE layer. fill controls whether the
 // page's current content is fetched — a write that covers the whole page
 // can skip the read (the kernel does the same for full-page overwrites).
+// Lock held; released while the chunk cache loads.
 func (pc *PageCache) fault(ctx store.Ctx, key pageKey, fill bool) (*page, error) {
 	if err := pc.ensureRoom(ctx); err != nil {
 		return nil, err
@@ -92,13 +104,12 @@ func (pc *PageCache) fault(ctx store.Ctx, key pageKey, fill bool) (*page, error)
 	if fill {
 		pc.s.Faults++
 		pc.s.FaultBytes += pc.pageSize()
-		if err := pc.cc.ReadRange(ctx, key.file, key.idx*pc.pageSize(), pg.data); err != nil {
+		if err := pc.cc.readRange(ctx, key.file, key.idx*pc.pageSize(), pg.data); err != nil {
 			return nil, err
 		}
 	}
-	// Re-check after the blocking read: another proc of the same rank
-	// cannot exist, but the fault path is also used by Sync-triggered
-	// refills; keep the map authoritative.
+	// Re-check after the blocking read: a sibling thread of the rank may
+	// have faulted the same page meanwhile; keep the map authoritative.
 	if cur, ok := pc.entries[key]; ok {
 		return cur, nil
 	}
@@ -127,11 +138,11 @@ func (pc *PageCache) ensureRoom(ctx store.Ctx) error {
 	return nil
 }
 
-// writeback pushes one whole page to the FUSE layer.
+// writeback pushes one whole page to the FUSE layer. Lock held.
 func (pc *PageCache) writeback(ctx store.Ctx, pg *page) error {
 	pc.s.Writebacks++
 	pc.s.WritebackBytes += pc.pageSize()
-	if err := pc.cc.WriteRange(ctx, pg.key.file, pg.key.idx*pc.pageSize(), pg.data); err != nil {
+	if err := pc.cc.writeRange(ctx, pg.key.file, pg.key.idx*pc.pageSize(), pg.data); err != nil {
 		return err
 	}
 	pg.dirty = false
@@ -140,6 +151,8 @@ func (pc *PageCache) writeback(ctx store.Ctx, pg *page) error {
 
 // Read copies [off, off+len(buf)) of file into buf through the page cache.
 func (pc *PageCache) Read(ctx store.Ctx, file string, off int64, buf []byte) error {
+	pc.cc.env.Lock(ctx)
+	defer pc.cc.env.Unlock(ctx)
 	ps := pc.pageSize()
 	for len(buf) > 0 {
 		key := pageKey{file, off / ps}
@@ -166,6 +179,8 @@ func (pc *PageCache) Read(ctx store.Ctx, file string, off int64, buf []byte) err
 // whole page is pushed through to the FUSE layer immediately
 // (write-through, matching the paper's §III-D write path).
 func (pc *PageCache) Write(ctx store.Ctx, file string, off int64, data []byte) error {
+	pc.cc.env.Lock(ctx)
+	defer pc.cc.env.Unlock(ctx)
 	ps := pc.pageSize()
 	for len(data) > 0 {
 		key := pageKey{file, off / ps}
@@ -202,14 +217,20 @@ func (pc *PageCache) Write(ctx store.Ctx, file string, off int64, data []byte) e
 // file's dirty chunks to the store (msync + fsync semantics). The through
 // flag is kept for callers that only want the page-layer guarantee.
 func (pc *PageCache) Sync(ctx store.Ctx, file string, through bool) error {
+	pc.cc.env.Lock(ctx)
+	var dirty []*page
 	for el := pc.lru.Front(); el != nil; el = el.Next() {
-		pg := el.Value.(*page)
-		if pg.key.file == file && pg.dirty {
-			if err := pc.writeback(ctx, pg); err != nil {
-				return err
-			}
+		if pg := el.Value.(*page); pg.key.file == file && pg.dirty {
+			dirty = append(dirty, pg)
 		}
 	}
+	for _, pg := range dirty {
+		if err := pc.writeback(ctx, pg); err != nil {
+			pc.cc.env.Unlock(ctx)
+			return err
+		}
+	}
+	pc.cc.env.Unlock(ctx)
 	if through {
 		return pc.cc.Flush(ctx, file)
 	}
@@ -219,6 +240,8 @@ func (pc *PageCache) Sync(ctx store.Ctx, file string, through bool) error {
 // Drop discards all pages of file (dirty pages are discarded; callers Sync
 // first if they need them).
 func (pc *PageCache) Drop(file string) {
+	pc.cc.env.Lock(nil)
+	defer pc.cc.env.Unlock(nil)
 	var victims []*page
 	for k, pg := range pc.entries {
 		if k.file == file {
@@ -233,6 +256,8 @@ func (pc *PageCache) Drop(file string) {
 
 // Resident returns how many pages of file are cached.
 func (pc *PageCache) Resident(file string) int {
+	pc.cc.env.Lock(nil)
+	defer pc.cc.env.Unlock(nil)
 	n := 0
 	for k := range pc.entries {
 		if k.file == file {

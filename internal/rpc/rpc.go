@@ -891,9 +891,12 @@ func newBenMetrics(o *obs.Obs) benMetrics {
 }
 
 // BenefactorServer serves one benefactor's chunks over TCP. Each accepted
-// connection is handled on its own goroutine and benefactor.Store is
-// internally synchronized, so requests arriving on a client's pooled
-// connections pipeline instead of serializing behind one server lock.
+// connection is handled on its own goroutine, one request at a time.
+// benefactor.Store orders ops per chunk and runs ops on different chunks
+// concurrently, so requests on a client's pooled connections reach the
+// device side by side: a benefactor keeps up to the client pool size of
+// chunk transfers in flight per client, and ops on one chunk queue on that
+// chunk's lock (benefactor.chunk_lock_wait, benefactor.inflight).
 type BenefactorServer struct {
 	st *benefactor.Store
 	l  net.Listener

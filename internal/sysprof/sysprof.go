@@ -158,7 +158,9 @@ type Profile struct {
 	// (Table VII's baseline): whole chunks travel on every writeback.
 	WriteFullChunks bool
 	// FuseConcurrency is the per-node FUSE daemon's store-request
-	// parallelism (0 defaults to 2).
+	// parallelism, which also bounds its write-behind evictions. HAL pins
+	// the 2012 daemon's 2 (one demand fetch plus one read-ahead); 0 takes
+	// the fusecache default of 8, the real stack's width.
 	FuseConcurrency int
 	// Replication is the store's chunk copy count (0 or 1 = no redundancy,
 	// the paper's baseline; ≥2 enables the fault-tolerance extension:
@@ -202,6 +204,7 @@ func HAL() Profile {
 		FUSECacheSize:   64 * MiB,
 		PageCacheSize:   16 * MiB,
 		ReadAheadChunks: 4,
+		FuseConcurrency: 2,
 
 		// HAL is a 16-node lab cluster; its shared scratch is a modest
 		// parallel file system, far below the aggregate SSD bandwidth —

@@ -29,6 +29,17 @@ func TestBenchValidates(t *testing.T) {
 	}
 }
 
+// TestProfilesPinDaemonWidth: every simulated profile keeps the 2012 FUSE
+// daemon's request width of 2, whatever the fusecache default is, so the
+// paper figures derived from them do not move with the real stack's gate.
+func TestProfilesPinDaemonWidth(t *testing.T) {
+	for _, p := range []Profile{HAL(), Bench(), HAL().Scaled(1.0 / 64)} {
+		if p.FuseConcurrency != 2 {
+			t.Errorf("%s: FuseConcurrency %d, want 2", p.Name, p.FuseConcurrency)
+		}
+	}
+}
+
 func TestScaledPreservesRatios(t *testing.T) {
 	p := HAL().Scaled(1.0 / 64)
 	if err := p.Validate(); err != nil {
